@@ -20,7 +20,8 @@
 //! 4. **bit-identity** — bucketed outputs equal the cold exact-width oracle
 //!    bit for bit on a subset of shapes, and
 //! 5. **multi-stream fan-out** — the timed trace's linear-layer requests
-//!    served through [`Scheduler`] worker threads over the shared engine
+//!    submitted as one atomic batch to a zero-window, uncoalesced
+//!    [`Server`] with four workers over the shared engine
 //!    (recorded, not gated: on a single-core host the fan-out cannot beat
 //!    sequential service),
 //! 6. **panel re-streaming probe** — a ≥4-segment request served once on the
@@ -31,8 +32,9 @@
 //!    re-streaming reduction this stack exists for, gated deterministically
 //!    in both smoke and full mode, and
 //! 7. **cross-request coalescing** — the fan-out trace served again through
-//!    a coalescing scheduler (same-layer requests column-concatenated into
-//!    shared fused executes): outputs must be bit-identical to the
+//!    the same zero-window server with coalescing on (same-layer requests
+//!    column-concatenated into shared fused executes, heaviest group first):
+//!    outputs must be bit-identical to the
 //!    uncoalesced fan-out, and the coalesced wall-clock must not lose to the
 //!    uncoalesced one (full mode; smoke allows 10% noise), and
 //! 8. **continuous batching** — the model's linear layers served through the
@@ -83,11 +85,10 @@ use shfl_core::matrix::DenseMatrix;
 use shfl_core::slo::{SloClass, SloKind};
 use shfl_models::engine::{EngineConfig, ModelEngine};
 use shfl_models::DnnModel;
-use shfl_serving::policy::{Fifo, SloAware};
+use shfl_serving::policy::{Fifo, Lpt, QueuePolicy, SloAware};
 use shfl_serving::replica::{ReplicaConfig, ReplicaSet};
-use shfl_serving::scheduler::{Request, Scheduler};
-use shfl_serving::server::{Server, ServerConfig, SubmitError};
-use shfl_serving::{decode_oracle, DecodeToken, ServingError};
+use shfl_serving::server::{Request, Response, Server, ServerConfig, SubmitError, Ticket};
+use shfl_serving::{decode_oracle, DecodeToken, ServingEngine, ServingError};
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -145,7 +146,7 @@ pub struct ServingBenchResult {
     pub panel_bytes_segmented: u64,
     /// Requests of the coalesced sub-trace (same requests as `mt_requests`).
     pub coalesced_requests: usize,
-    /// Wall-clock of the coalescing scheduler over the fan-out requests, ms.
+    /// Wall-clock of the coalescing server over the fan-out requests, ms.
     pub coalesced_wall_ms: f64,
     /// Whether the coalesced responses were bit-identical to the
     /// uncoalesced fan-out responses.
@@ -359,6 +360,40 @@ impl ServingBenchResult {
     }
 }
 
+/// Serves one batch through a zero-window server over the shared engine and
+/// returns the responses in request order. The batch is submitted
+/// atomically, so the dispatcher plans it in one admission round: with
+/// `coalesce`, same-layer requests pack into width-capped fused groups
+/// dispatched heaviest-first ([`Lpt`]); without it, every request is its
+/// own dispatch in arrival order ([`Fifo`]).
+fn serve_batch(
+    engine: &Arc<ServingEngine>,
+    requests: Vec<Request>,
+    workers: usize,
+    coalesce: bool,
+) -> Vec<Response> {
+    let policy: Arc<dyn QueuePolicy> = if coalesce {
+        Arc::new(Lpt)
+    } else {
+        Arc::new(Fifo)
+    };
+    let server = Server::start(
+        Arc::clone(engine),
+        ServerConfig::new()
+            .with_workers(workers.min(requests.len()))
+            .with_admission_window_us(0)
+            .with_queue_depth(requests.len())
+            .with_coalesce(coalesce)
+            .with_policy(policy),
+    );
+    let tickets = server
+        .submit_batch(requests)
+        .expect("the queue is sized to the batch");
+    let responses = tickets.into_iter().map(Ticket::wait).collect();
+    server.shutdown();
+    responses
+}
+
 /// The warmup and timed batch mixes of one model's trace. Timed batches are
 /// chosen so every width maps onto a bucket the warmup already cached — but
 /// through *different* widths, so a plan-keying regression (exact-width
@@ -461,11 +496,14 @@ fn run_model(
         };
         if rep == 0 {
             let steady = engine.cache_stats();
-            let lookups = (steady.hits - warm_stats.hits) + (steady.misses - warm_stats.misses);
+            let misses = steady.misses - warm_stats.misses;
+            let lookups = (steady.hits - warm_stats.hits)
+                + misses
+                + (steady.shared_builds - warm_stats.shared_builds);
             hit_rate = if lookups == 0 {
                 1.0
             } else {
-                (steady.hits - warm_stats.hits) as f64 / lookups as f64
+                1.0 - misses as f64 / lookups as f64
             };
         }
         let mut pass_ms = 0.0;
@@ -502,7 +540,7 @@ fn run_model(
 
     // Multi-stream fan-out over the linear layers (plans are shared; on a
     // multi-core host the workers overlap, on a single core they interleave),
-    // then the same requests again through the coalescing scheduler:
+    // then the same requests again through a coalescing server:
     // same-layer requests collapse into shared fused executes, and the
     // scattered outputs must match the fan-out bit for bit.
     let gemm_layers = engine.gemm_layer_indices();
@@ -541,10 +579,10 @@ fn run_model(
         // (a column-concatenated group is wider than any single request) —
         // warm those untimed too, exactly like the trace warmup excludes
         // compulsory plan builds from the timed window.
-        let warm_responses =
-            Scheduler::coalescing(mt_workers).serve(engine.serving(), requests.clone());
+        let serving = engine.serving_shared();
+        let warm_responses = serve_batch(&serving, requests.clone(), mt_workers, true);
         assert!(warm_responses.iter().all(|r| r.result.is_ok()));
-        // Interleaved best-of-2 for each scheduler: the walls are compared
+        // Interleaved best-of-2 for each server: the walls are compared
         // against each other and a shared single-core box drifts by tens of
         // percent between passes, so alternating the passes and keeping each
         // side's best cancels most of the drift.
@@ -554,14 +592,14 @@ fn run_model(
         let mut coalesced = Vec::new();
         for _ in 0..2 {
             let start = Instant::now();
-            responses = Scheduler::new(mt_workers).serve(engine.serving(), requests.clone());
+            responses = serve_batch(&serving, requests.clone(), mt_workers, false);
             uncoalesced_walls.push(start.elapsed().as_secs_f64() * 1e3);
             assert!(
                 responses.iter().all(|r| r.result.is_ok()),
                 "multi-stream trace requests are well-formed"
             );
             let start = Instant::now();
-            coalesced = Scheduler::coalescing(mt_workers).serve(engine.serving(), requests.clone());
+            coalesced = serve_batch(&serving, requests.clone(), mt_workers, true);
             coalesced_walls.push(start.elapsed().as_secs_f64() * 1e3);
         }
         mt_wall_ms = uncoalesced_walls.iter().copied().fold(f64::MAX, f64::min);
@@ -858,9 +896,9 @@ fn continuous_class(index: usize) -> SloClass {
 ///
 /// * **windowed** — a nonzero admission window, SLO-aware dispatch,
 ///   cross-arrival coalescing at the layer-default cap, and
-/// * **zero-window** — dispatch-immediately, no coalescing: the shape of the
-///   old batch scheduler serving arrivals individually, i.e. what serving
-///   this arrival pattern cost before the server existed.
+/// * **zero-window** — dispatch-immediately, no coalescing: every arrival
+///   served individually, i.e. what this arrival pattern costs without
+///   cross-arrival batching.
 ///
 /// Both runs measure first-submit→drained wall (identical submission gaps,
 /// so the wall ratio is the aggregate-throughput ratio) and the engine's
@@ -1338,10 +1376,7 @@ fn run_continuous(
     let rep_stats = rep_server.stats();
     rep_server.drain();
     rep_server.shutdown();
-    let replica_set_stats = rep_stats
-        .replicas
-        .clone()
-        .expect("replicated server reports replica stats");
+    let replica_set_stats = rep_stats.replicas.clone();
 
     ContinuousBenchResult {
         layers: gemm_layers.len(),

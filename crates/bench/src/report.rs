@@ -1,12 +1,10 @@
-//! Reader for `BENCH_kernels.json` — v1 and v2 schemas.
+//! Reader for `BENCH_kernels.json` (schema v2).
 //!
-//! The benchmark trajectory only works if every PR can read the numbers the
-//! previous PRs wrote. Schema **v1** recorded `naive_ms`/`blocked_ms` per
-//! kernel; schema **v2** (this PR) adds the plan-build and prepared columns,
-//! the git revision, and the end-to-end model section. [`parse_report`]
-//! accepts both: v1 files surface with `plan_build_ms`/`prepared_ms` as
-//! `None` and an empty model list, so comparisons across the schema change
-//! stay possible.
+//! The benchmark trajectory only works if later runs can read the numbers
+//! earlier runs wrote. Schema **v2** records, per kernel, the naive, blocked,
+//! plan-build and prepared wall-clocks, plus the git revision and the
+//! end-to-end model section. [`parse_report`] reads it and rejects any other
+//! schema string (the repository keeps no older file).
 //!
 //! The offline build has no serde, so this module carries a minimal
 //! recursive-descent JSON parser (objects, arrays, strings, numbers, bools,
@@ -244,7 +242,7 @@ pub fn parse_json(input: &str) -> Option<Json> {
     }
 }
 
-/// One kernel row of a benchmark report (schema v1 or v2).
+/// One kernel row of a benchmark report.
 #[derive(Debug, Clone, PartialEq)]
 pub struct KernelRecord {
     /// Kernel name.
@@ -255,9 +253,9 @@ pub struct KernelRecord {
     pub naive_ms: f64,
     /// Cold blocked wall-clock, ms.
     pub blocked_ms: f64,
-    /// Plan-build wall-clock, ms (v2 only).
+    /// Plan-build wall-clock, ms (absent when the row carries none).
     pub plan_build_ms: Option<f64>,
-    /// Prepared execute wall-clock, ms (v2 only).
+    /// Prepared execute wall-clock, ms (absent when the row carries none).
     pub prepared_ms: Option<f64>,
     /// Recorded naive-over-blocked speedup.
     pub speedup: f64,
@@ -267,7 +265,7 @@ pub struct KernelRecord {
     pub headline: bool,
 }
 
-/// One model row of a v2 benchmark report.
+/// One model row of a benchmark report.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ModelRecord {
     /// Model name.
@@ -297,7 +295,7 @@ pub struct ModelRecord {
     pub serving_panel_bytes_fused: Option<f64>,
     /// Panel bytes the per-segment baseline streamed on the same probe.
     pub serving_panel_bytes_segmented: Option<f64>,
-    /// Coalesced-scheduler wall-clock on the fan-out trace, ms.
+    /// Coalescing-server wall-clock on the fan-out trace, ms.
     pub serving_coalesced_wall_ms: Option<f64>,
     /// Uncoalesced fan-out wall-clock on the same trace, ms.
     pub serving_mt_wall_ms: Option<f64>,
@@ -390,31 +388,28 @@ pub struct ModelRecord {
     pub conv_im2col_bytes_on_implicit: Option<f64>,
 }
 
-/// A parsed `BENCH_kernels.json`, any supported schema.
+/// A parsed `BENCH_kernels.json`.
 #[derive(Debug, Clone, PartialEq)]
 pub struct BenchReport {
-    /// Schema version (1 or 2).
+    /// Schema version (always 2).
     pub schema_version: u32,
     /// Thread count recorded in the run.
     pub threads: usize,
-    /// Git revision (v2 only).
+    /// Git revision, when the run recorded one.
     pub git_rev: Option<String>,
     /// Per-kernel rows.
     pub kernels: Vec<KernelRecord>,
-    /// Per-model rows (empty for v1).
+    /// Per-model rows.
     pub models: Vec<ModelRecord>,
 }
 
-/// Parses a `BENCH_kernels.json` document of schema v1 or v2. Returns `None`
-/// for malformed JSON or an unknown schema string.
+/// Parses a `BENCH_kernels.json` document of schema v2. Returns `None` for
+/// malformed JSON or any other schema string.
 pub fn parse_report(input: &str) -> Option<BenchReport> {
     let doc = parse_json(input)?;
-    let schema = doc.get("schema")?.as_str()?;
-    let schema_version = match schema {
-        "shfl-bw-repro/bench-kernels/v1" => 1,
-        "shfl-bw-repro/bench-kernels/v2" => 2,
-        _ => return None,
-    };
+    if doc.get("schema")?.as_str()? != "shfl-bw-repro/bench-kernels/v2" {
+        return None;
+    }
     let threads = doc.get("threads")?.as_f64()? as usize;
     let git_rev = doc
         .get("git_rev")
@@ -509,7 +504,7 @@ pub fn parse_report(input: &str) -> Option<BenchReport> {
         }
     }
     Some(BenchReport {
-        schema_version,
+        schema_version: 2,
         threads,
         git_rev,
         kernels,
@@ -520,34 +515,6 @@ pub fn parse_report(input: &str) -> Option<BenchReport> {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    /// The exact shape of the v1 document this repository shipped before the
-    /// plan/execute split (two rows kept for brevity).
-    const V1_SAMPLE: &str = r#"{
-  "schema": "shfl-bw-repro/bench-kernels/v1",
-  "threads": 1,
-  "results": [
-    {"kernel": "dense_gemm_execute", "shape": "1024x1024x1024", "naive_ms": 3313.742, "blocked_ms": 125.607, "speedup": 26.38, "bit_identical": true, "headline": true},
-    {"kernel": "cuda_core_spmm_execute", "shape": "512x512x128", "naive_ms": 1.509, "blocked_ms": 1.676, "speedup": 0.90, "bit_identical": true, "headline": false}
-  ]
-}"#;
-
-    #[test]
-    fn parses_the_v1_schema_without_prepared_columns() {
-        let report = parse_report(V1_SAMPLE).unwrap();
-        assert_eq!(report.schema_version, 1);
-        assert_eq!(report.threads, 1);
-        assert_eq!(report.git_rev, None);
-        assert_eq!(report.kernels.len(), 2);
-        assert!(report.models.is_empty());
-        let gemm = &report.kernels[0];
-        assert_eq!(gemm.kernel, "dense_gemm_execute");
-        assert!((gemm.naive_ms - 3313.742).abs() < 1e-9);
-        assert_eq!(gemm.plan_build_ms, None);
-        assert_eq!(gemm.prepared_ms, None);
-        assert!(gemm.headline);
-        assert!(!report.kernels[1].headline);
-    }
 
     #[test]
     fn round_trips_the_v2_writer() {
@@ -758,6 +725,11 @@ mod tests {
     fn rejects_malformed_and_unknown_documents() {
         assert!(parse_report("not json").is_none());
         assert!(parse_report("{\"schema\": \"something-else\", \"threads\": 1}").is_none());
+        // The retired v1 schema is an unknown schema now.
+        assert!(parse_report(
+            "{\"schema\": \"shfl-bw-repro/bench-kernels/v1\", \"threads\": 1, \"results\": []}"
+        )
+        .is_none());
         assert!(parse_json("{\"a\": [1, 2,]}").is_none());
         assert!(parse_json("{} trailing").is_none());
     }

@@ -104,12 +104,14 @@ impl PlanKey {
 pub struct PlanCacheStats {
     /// Lookups served by an already-resident plan.
     pub hits: u64,
-    /// Lookups that were not served by a resident plan (a build was started,
-    /// or joined — see [`PlanCacheStats::shared_builds`]).
+    /// Lookups that started a plan build (successful or not). A lookup that
+    /// joins a build already in flight is not a miss — it is counted in
+    /// [`PlanCacheStats::shared_builds`] — so the miss count is a pure
+    /// function of the key sequence, independent of thread timing.
     pub misses: u64,
     /// Plans evicted to make room (plan-count capacity or byte budget).
     pub evictions: u64,
-    /// Misses that joined an in-flight build of the same key instead of
+    /// Lookups that joined an in-flight build of the same key instead of
     /// building redundantly (each one is a build the stampede dedup saved).
     pub shared_builds: u64,
     /// Stale-version plans dropped by [`PlanCache::invalidate_layer_below`]
@@ -118,13 +120,15 @@ pub struct PlanCacheStats {
 }
 
 impl PlanCacheStats {
-    /// Fraction of lookups served from the cache (1.0 when there were none).
+    /// Fraction of lookups that did not build a plan — `1 − misses /
+    /// (hits + misses + shared_builds)`, so a lookup that joined an
+    /// in-flight build counts with the hits (1.0 when there were none).
     pub fn hit_rate(&self) -> f64 {
-        let total = self.hits + self.misses;
+        let total = self.hits + self.misses + self.shared_builds;
         if total == 0 {
             1.0
         } else {
-            self.hits as f64 / total as f64
+            1.0 - self.misses as f64 / total as f64
         }
     }
 
@@ -403,15 +407,16 @@ impl PlanCache {
                 inner.stats.hits += 1;
                 return Ok(plan);
             }
-            // A lookup not served by a resident plan counts as a miss
-            // whether this thread builds, joins an in-flight build, or the
-            // build fails.
+            // A lookup that starts a build counts as a miss (whether the
+            // build succeeds or fails); one that joins a build already in
+            // flight counts as a shared build only, so the miss count does
+            // not depend on how many threads race onto a cold key.
             let join = inner.building.get(&key).map(Arc::clone);
-            inner.stats.misses += 1;
             if let Some(slot) = join {
                 inner.stats.shared_builds += 1;
                 Some(slot)
             } else {
+                inner.stats.misses += 1;
                 let slot = Arc::new(BuildSlot::new());
                 inner.building.insert(key, Arc::clone(&slot));
                 None
@@ -596,7 +601,7 @@ mod tests {
         });
         assert!(err.is_err());
         assert!(!cache.contains(key));
-        // The failed lookup still counts as a miss.
+        // The failed build still counts as a miss.
         assert_eq!(cache.stats().misses, 1);
         assert!(cache.is_empty());
     }
@@ -678,7 +683,7 @@ mod tests {
             "concurrent same-key misses must share one build"
         );
         let stats = cache.stats();
-        assert_eq!(stats.misses, 8);
+        assert_eq!(stats.misses, 1);
         assert_eq!(stats.shared_builds, 7);
         assert_eq!(cache.len(), 1);
     }
@@ -722,7 +727,10 @@ mod tests {
         // failure did not trigger a retry storm (≤ one attempt per caller
         // that raced past the slot removal, never more).
         assert!(attempts.load(Ordering::SeqCst) <= 4);
-        assert_eq!(cache.stats().misses, 4);
+        // Each lookup either built (a miss) or joined the in-flight build.
+        let stats = cache.stats();
+        assert_eq!(stats.misses, attempts.load(Ordering::SeqCst) as u64);
+        assert_eq!(stats.misses + stats.shared_builds, 4);
         // A *fresh* lookup after the failure starts a new build: transient
         // failures are retryable at the caller's discretion.
         cache.get_or_build(key, || tiny_plan(8)).unwrap();
@@ -764,7 +772,9 @@ mod tests {
         // and in practice far fewer thanks to the in-flight slot sharing.
         assert!(attempts.load(Ordering::SeqCst) <= 18);
         assert!(!cache.contains(key));
-        assert_eq!(cache.stats().misses, 18);
+        let stats = cache.stats();
+        assert_eq!(stats.misses, attempts.load(Ordering::SeqCst) as u64);
+        assert_eq!(stats.misses + stats.shared_builds, 18);
     }
 
     #[test]
@@ -922,7 +932,7 @@ mod tests {
             "one build per version: slots must dedup within a version only"
         );
         let stats = cache.stats();
-        assert_eq!(stats.misses, 6);
+        assert_eq!(stats.misses, 2);
         assert_eq!(stats.shared_builds, 4);
     }
 

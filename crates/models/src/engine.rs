@@ -1118,7 +1118,7 @@ mod tests {
 
     #[test]
     fn server_mode_matches_synchronous_serving_bit_for_bit() {
-        use shfl_serving::scheduler::Request;
+        use shfl_serving::Request;
         let engine = shared_smoke(DnnModel::Transformer);
         let gemm_layers = engine.gemm_layer_indices();
         assert!(gemm_layers.len() >= 2);

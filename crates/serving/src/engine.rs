@@ -75,10 +75,13 @@ struct LayerState {
     /// rollbacks, which republish the previous *weights* under a fresh
     /// version so plan keys stay unambiguous).
     version: u64,
-    weights: ShflBwMatrix,
+    weights: Arc<ShflBwMatrix>,
     policy: BucketPolicy,
-    /// The previously published snapshot, kept for [`ServingEngine::rollback_layer`].
-    prev: Option<Arc<LayerState>>,
+    /// The previously published weights, kept for
+    /// [`ServingEngine::rollback_layer`]. Only the weights are kept, not the
+    /// previous snapshot, so a superseded snapshot is freed once no execute
+    /// holds it and rollback history stays one version deep.
+    prev_weights: Option<Arc<ShflBwMatrix>>,
 }
 
 /// Cumulative serving counters beyond the plan cache's hit/miss accounting.
@@ -282,7 +285,7 @@ pub struct UpdateStats {
 /// The bucketed serving engine: layer registry + plan cache + bucket policy.
 ///
 /// `execute` takes `&self` and the engine is `Sync`, so one engine serves any
-/// number of scheduler worker threads concurrently. Layer *registration*
+/// number of server worker threads concurrently. Layer *registration*
 /// takes `&mut self` (deployment-time wiring); layer *updates* take `&self`
 /// and swap a versioned slot atomically, so weights change under live
 /// traffic without a stop-the-world (see the module docs).
@@ -364,9 +367,9 @@ impl ServingEngine {
         self.layers.push(RwLock::new(Arc::new(LayerState {
             name: name.to_string(),
             version: 0,
-            weights,
+            weights: Arc::new(weights),
             policy,
-            prev: None,
+            prev_weights: None,
         })));
         self.layers.len() - 1
     }
@@ -442,7 +445,7 @@ impl ServingEngine {
     ///
     /// Returns [`ServingError::UnknownLayer`] for an unregistered id.
     pub fn layer_weights(&self, layer: usize) -> Result<ShflBwMatrix, ServingError> {
-        self.layer(layer).map(|l| l.weights.clone())
+        self.layer(layer).map(|l| l.weights.as_ref().clone())
     }
 
     /// The currently published weight version of a layer (0 at registration,
@@ -679,57 +682,7 @@ impl ServingEngine {
         layer: usize,
         activations: &DenseMatrix,
     ) -> Result<(DenseMatrix, f64), ServingError> {
-        let (entry, segments) = self.admit(layer, activations)?;
-        let n = activations.cols();
-        let mut modeled_us = 0.0;
-        let mut padded_columns = 0u64;
-        let mut fused_sweeps = 0u64;
-
-        let output = if segments.len() <= 1 {
-            if let Some(segment) = segments.first() {
-                let plan = self.bucket_plan(layer, &entry, segment.bucket)?;
-                modeled_us += plan.profile().time_us();
-                self.panel_traffic.add(plan.panel_sweep_bytes());
-                if segment.bucket == n {
-                    // Zero-copy fast path: the width is exactly one bucket.
-                    plan.execute(activations)
-                        .map_err(ServingError::Kernel)?
-                        .output
-                } else {
-                    padded_columns += segment.padding() as u64;
-                    let padded =
-                        activations.cols_padded(segment.start, segment.width, segment.bucket);
-                    let bucket_out = plan.execute(&padded).map_err(ServingError::Kernel)?.output;
-                    let mut output = DenseMatrix::zeros(entry.weights.rows(), n);
-                    output.copy_cols_from(&bucket_out, segment.start, segment.width);
-                    output
-                }
-            } else {
-                DenseMatrix::zeros(entry.weights.rows(), 0)
-            }
-        } else {
-            // Fused multi-segment sweep: one pass over the packed panels
-            // updates every segment, on the largest-bucket plan. No padding
-            // columns are computed at all.
-            let plan = self.bucket_plan(layer, &entry, entry.policy.max_bucket())?;
-            modeled_us += self.fused_modeled_us(layer, &entry, n);
-            self.panel_traffic.add(plan.panel_sweep_bytes());
-            fused_sweeps += 1;
-            plan.execute_segments(activations, &segments)
-                .map_err(ServingError::Kernel)?
-                .output
-        };
-
-        {
-            let mut stats = self.stats.lock().expect("serving stats poisoned");
-            stats.requests += 1;
-            stats.segments += segments.len() as u64;
-            stats.columns += n as u64;
-            stats.padded_columns += padded_columns;
-            stats.fused_sweeps += fused_sweeps;
-        }
-        self.note_completed_execute(layer, entry.version);
-        Ok((output, modeled_us))
+        self.execute_bucketed(layer, activations, false)
     }
 
     /// Serves a **coalesced-group** operand pad-free. A bucket-exact width
@@ -754,12 +707,53 @@ impl ServingEngine {
         layer: usize,
         activations: &DenseMatrix,
     ) -> Result<(DenseMatrix, f64), ServingError> {
+        self.execute_bucketed(layer, activations, true)
+    }
+
+    /// The one body behind [`ServingEngine::execute_profiled`] and
+    /// [`ServingEngine::execute_group_profiled`]. A single-segment width
+    /// runs on its bucket's plan (zero-copy when the width is exactly the
+    /// bucket, zero-padded otherwise) unless `pad_free` asks for the
+    /// exact-width fused sweep instead; a multi-segment width always takes
+    /// the fused sweep. Neither single-segment choice dominates in wall
+    /// clock, so both stay; the outputs are bit-identical either way.
+    fn execute_bucketed(
+        &self,
+        layer: usize,
+        activations: &DenseMatrix,
+        pad_free: bool,
+    ) -> Result<(DenseMatrix, f64), ServingError> {
         let (entry, segments) = self.admit(layer, activations)?;
         let n = activations.cols();
-        match segments.as_slice() {
-            [] => self.execute_profiled(layer, activations),
-            [single] if single.bucket == n => self.execute_profiled(layer, activations),
+        let (output, modeled_us, padded_columns, fused_sweeps) = match segments.as_slice() {
+            [] => (DenseMatrix::zeros(entry.weights.rows(), 0), 0.0, 0, 0),
+            [segment] if !pad_free || segment.bucket == n => {
+                let plan = self.bucket_plan(layer, &entry, segment.bucket)?;
+                self.panel_traffic.add(plan.panel_sweep_bytes());
+                let output = if segment.bucket == n {
+                    // Zero-copy fast path: the width is exactly one bucket.
+                    plan.execute(activations)
+                        .map_err(ServingError::Kernel)?
+                        .output
+                } else {
+                    let padded =
+                        activations.cols_padded(segment.start, segment.width, segment.bucket);
+                    let bucket_out = plan.execute(&padded).map_err(ServingError::Kernel)?.output;
+                    let mut output = DenseMatrix::zeros(entry.weights.rows(), n);
+                    output.copy_cols_from(&bucket_out, segment.start, segment.width);
+                    output
+                };
+                (
+                    output,
+                    plan.profile().time_us(),
+                    segment.padding() as u64,
+                    0,
+                )
+            }
             _ => {
+                // Fused exact-width sweep: one pass over the packed panels
+                // updates every segment, on the largest-bucket plan. No
+                // padding columns are computed at all.
                 let plan = self.bucket_plan(layer, &entry, entry.policy.max_bucket())?;
                 let modeled_us = self.fused_modeled_us(layer, &entry, n);
                 self.panel_traffic.add(plan.panel_sweep_bytes());
@@ -767,17 +761,20 @@ impl ServingEngine {
                     .execute_segments(activations, &segments)
                     .map_err(ServingError::Kernel)?
                     .output;
-                {
-                    let mut stats = self.stats.lock().expect("serving stats poisoned");
-                    stats.requests += 1;
-                    stats.segments += segments.len() as u64;
-                    stats.columns += n as u64;
-                    stats.fused_sweeps += 1;
-                }
-                self.note_completed_execute(layer, entry.version);
-                Ok((output, modeled_us))
+                (output, modeled_us, 0, 1)
             }
+        };
+
+        {
+            let mut stats = self.stats.lock().expect("serving stats poisoned");
+            stats.requests += 1;
+            stats.segments += segments.len() as u64;
+            stats.columns += n as u64;
+            stats.padded_columns += padded_columns;
+            stats.fused_sweeps += fused_sweeps;
         }
+        self.note_completed_execute(layer, entry.version);
+        Ok((output, modeled_us))
     }
 
     /// The historical per-segment execution: every bucket [`Segment`] is
@@ -858,7 +855,7 @@ impl ServingEngine {
         layer: usize,
         new_weights: ShflBwMatrix,
     ) -> Result<UpdateReport, UpdateError> {
-        let report = self.publish_update(layer, new_weights, false);
+        let report = self.publish_update(layer, Arc::new(new_weights), false);
         if report.is_err() {
             self.update_stats
                 .lock()
@@ -893,10 +890,10 @@ impl ServingEngine {
             .layer(layer)
             .map_err(|_| UpdateError::UnknownLayer { layer })?;
         let prev = cur
-            .prev
-            .as_ref()
+            .prev_weights
+            .clone()
             .ok_or(UpdateError::NoPreviousVersion { layer })?;
-        self.publish_update(layer, prev.weights.clone(), true)
+        self.publish_update(layer, prev, true)
     }
 
     /// The update pipeline: snapshot → shape check → side-build (delta
@@ -907,7 +904,7 @@ impl ServingEngine {
     fn publish_update(
         &self,
         layer: usize,
-        new_weights: ShflBwMatrix,
+        new_weights: Arc<ShflBwMatrix>,
         rollback: bool,
     ) -> Result<UpdateReport, UpdateError> {
         let started = std::time::Instant::now();
@@ -969,12 +966,9 @@ impl ServingEngine {
                 SpmmPlan::shfl_bw(&self.arch, &new_weights, max_bucket)
             }))
             .map_err(|payload| {
-                let context = payload
-                    .downcast_ref::<&str>()
-                    .map(|s| s.to_string())
-                    .or_else(|| payload.downcast_ref::<String>().cloned())
-                    .unwrap_or_else(|| "non-string panic payload".to_string());
-                build_err(KernelError::BuildPanicked { context })
+                build_err(KernelError::BuildPanicked {
+                    context: crate::server::panic_message(payload.as_ref()),
+                })
             })?;
             rebuild_bytes += built.packed_bytes() as u64;
             rebuilt_plans += 1;
@@ -1019,7 +1013,7 @@ impl ServingEngine {
             version: new_version,
             weights: new_weights,
             policy: cur.policy,
-            prev: Some(Arc::clone(&cur)),
+            prev_weights: Some(Arc::clone(&cur.weights)),
         });
         {
             let slot = self
@@ -1420,6 +1414,33 @@ mod tests {
         assert_eq!(stats.swaps, 2);
         assert_eq!(stats.rollbacks, 1);
         assert_eq!(stats.failed_updates, 1);
+    }
+
+    #[test]
+    fn rollback_history_does_not_keep_superseded_snapshots_alive() {
+        let (engine, id) = test_engine(32);
+        let original = engine.layer_weights(id).unwrap();
+        let acts = DenseMatrix::random(&mut StdRng::seed_from_u64(59), 24, 16);
+        engine
+            .update_layer(id, scaled_update(&original, 2.0))
+            .unwrap();
+        let v1 = Arc::downgrade(&engine.layer(id).unwrap());
+        let v1_out = engine.execute(id, &acts).unwrap();
+        for round in 0..10u64 {
+            let update = engine
+                .update_layer(id, scaled_update(&original, 3.0))
+                .unwrap();
+            assert_eq!(update.version, 2 + 2 * round);
+            let rollback = engine.rollback_layer(id).unwrap();
+            assert_eq!(rollback.version, 3 + 2 * round);
+            // Each rollback republishes exactly the v1 weights.
+            assert_eq!(engine.execute(id, &acts).unwrap(), v1_out);
+        }
+        assert!(
+            v1.upgrade().is_none(),
+            "a superseded snapshot must not stay reachable through rollback history"
+        );
+        assert_eq!(engine.update_stats().rollbacks, 10);
     }
 
     #[test]

@@ -16,19 +16,18 @@
 //!   execution (every output column depends only on its own activation
 //!   column; the property tests assert exact equality, including `N = 1` and
 //!   `N` one past a bucket boundary).
-//! * [`server::Server`] — the continuous-batching front-end: callers
-//!   [`server::Server::submit`] requests independently and get
-//!   [`server::Ticket`]s; a dispatcher holds a configurable admission window
-//!   and coalesces same-layer arrivals into shared fused executes, ordered by
-//!   a pluggable [`policy::QueuePolicy`] (FIFO / LPT / shortest-job-first /
-//!   deadline-class SLO scheduling), with typed
-//!   [`server::SubmitError::QueueFull`] backpressure and per-class latency
-//!   percentiles in [`server::ServerStats`].
-//! * [`scheduler::Scheduler`] — the historical batch API, kept as a thin
-//!   compatibility shim over a zero-window scoped [`server::Server`]: plans
-//!   are `Sync`, so one prepared plan serves any number of concurrent
-//!   requests; a batch of [`scheduler::Request`]s fans across worker threads
-//!   over one shared engine, recording per-request latency.
+//! * [`server::Server`] — the one serving front door: callers
+//!   [`server::Server::submit`] [`Request`]s independently (or
+//!   [`server::Server::submit_batch`] a batch atomically) and get
+//!   [`server::Ticket`]s that resolve to [`Response`]s; a dispatcher holds a
+//!   configurable admission window and coalesces same-layer arrivals into
+//!   shared fused executes, ordered by a pluggable [`policy::QueuePolicy`]
+//!   (FIFO / LPT / shortest-job-first / deadline-class SLO scheduling), with
+//!   typed [`server::SubmitError::QueueFull`] backpressure and per-class
+//!   latency percentiles in [`server::ServerStats`]. Every server executes
+//!   over a [`replica::ReplicaSet`] — a single-replica set for
+//!   [`server::Server::start`] — and plans are `Sync`, so one prepared plan
+//!   serves any number of concurrent workers.
 //! * [`ServingError`] — typed rejection of malformed traffic (unknown layer,
 //!   reduction-dimension mismatch) instead of panics or debug-only asserts.
 //! * **Live weight updates** — every layer is a versioned slot:
@@ -76,7 +75,6 @@ pub mod engine;
 pub mod policy;
 pub mod replica;
 pub mod router;
-pub mod scheduler;
 pub mod server;
 pub mod session;
 
@@ -84,8 +82,9 @@ pub use engine::{ServingEngine, ServingStats, UpdateError, UpdateReport, UpdateS
 pub use policy::{Fifo, GroupMeta, Lpt, QueuePolicy, ShortestJobFirst, SloAware};
 pub use replica::{ReplicaConfig, ReplicaHealth, ReplicaSet, ReplicaSetStats, ReplicaStats};
 pub use router::HashRing;
-pub use scheduler::{Request, Response, Scheduler};
-pub use server::{Completion, Server, ServerConfig, ServerStats, SubmitError, Ticket};
+pub use server::{
+    Completion, Request, Response, Server, ServerConfig, ServerStats, SubmitError, Ticket,
+};
 pub use session::{
     decode_oracle, DecodeModel, DecodeStage, DecodeState, DecodeToken, SessionHandle, SessionStats,
     SessionTicket,

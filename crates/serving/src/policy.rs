@@ -11,13 +11,11 @@
 //!
 //! Four disciplines ship with the crate:
 //!
-//! * [`Fifo`] — arrival order; what the historical batch scheduler's plain
-//!   queue did, and the zero-surprise default.
+//! * [`Fifo`] — arrival order; the zero-surprise default.
 //! * [`Lpt`] — longest processing time first. With a handful of coalesced
 //!   groups across a small worker pool, a heavy group picked up last
 //!   dominates the batch wall-clock; LPT is the classic makespan heuristic
-//!   the historical coalescing scheduler used, and the compatibility shim
-//!   keeps it.
+//!   for a zero-window server fed one atomic batch.
 //! * [`ShortestJobFirst`] — minimises mean latency under load (decode-style
 //!   traffic: many small requests should not queue behind one huge unfolded
 //!   convolution).
@@ -116,8 +114,8 @@ impl QueuePolicy for Fifo {
     }
 }
 
-/// Longest processing time first (the makespan heuristic of the historical
-/// coalescing scheduler): heaviest estimated group dispatches first so no
+/// Longest processing time first (the classic makespan heuristic):
+/// heaviest estimated group dispatches first so no
 /// straggler is picked up last by an otherwise-idle worker pool. Ties break
 /// by arrival.
 #[derive(Debug, Clone, Copy, Default)]

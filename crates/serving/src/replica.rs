@@ -239,7 +239,8 @@ pub struct ReplicaStats {
     pub executes: u64,
     /// Failed attempts charged to this replica.
     pub failures: u64,
-    /// The replica's plan-cache hit rate (hits / lookups; 0 when cold).
+    /// The replica's plan-cache hit rate
+    /// ([`shfl_kernels::cache::PlanCacheStats::hit_rate`]; 0 when cold).
     pub cache_hit_rate: f64,
 }
 
@@ -360,8 +361,8 @@ impl ReplicaSet {
         }
     }
 
-    /// A single-replica set: the compatibility path
-    /// [`crate::server::Server::start`] wraps a lone engine in.
+    /// A single-replica set: what [`crate::server::Server::start`] wraps a
+    /// lone engine in.
     pub fn single(engine: Arc<ServingEngine>) -> Self {
         Self::new(vec![engine], ReplicaConfig::default())
     }
@@ -524,18 +525,14 @@ impl ReplicaSet {
             .map(|rep| {
                 let state = rep.state.lock().expect("replica state poisoned");
                 let cache = rep.engine.cache_stats();
-                let lookups = cache.hits + cache.misses;
+                let lookups = cache.hits + cache.misses + cache.shared_builds;
                 ReplicaStats {
                     alive: rep.alive.load(Ordering::SeqCst),
                     health: state.health,
                     in_flight: rep.in_flight.load(Ordering::SeqCst),
                     executes: rep.executes.load(Ordering::SeqCst),
                     failures: rep.failures.load(Ordering::SeqCst),
-                    cache_hit_rate: if lookups == 0 {
-                        0.0
-                    } else {
-                        cache.hits as f64 / lookups as f64
-                    },
+                    cache_hit_rate: if lookups == 0 { 0.0 } else { cache.hit_rate() },
                 }
             })
             .collect();
@@ -629,9 +626,10 @@ impl ReplicaSet {
     }
 
     /// Executes a (possibly coalesced) group operand with routing,
-    /// failover, hedging and degradation shedding. `fused` selects the
-    /// pad-free coalesced-group path; `slack_us` is the group's remaining
-    /// deadline slack (hedge trigger).
+    /// failover, hedging and degradation shedding — the one execute path of
+    /// the server's workers and the decode-session driver. `fused` selects
+    /// the pad-free coalesced-group path; `slack_us` is the group's
+    /// remaining deadline slack (hedge trigger).
     pub(crate) fn dispatch(
         &self,
         layer: usize,
@@ -784,7 +782,10 @@ impl ReplicaSet {
             // replica faults — the replica's health is not charged.
             Ok(Err(err)) => Err(err),
             Err(payload) => Err(ServingError::WorkerPanic {
-                context: format!("replica {replica}: {}", panic_text(payload)),
+                context: format!(
+                    "replica {replica}: {}",
+                    crate::server::panic_message(payload.as_ref())
+                ),
             }),
         }
     }
@@ -921,89 +922,6 @@ fn is_replica_fault(err: &ServingError) -> bool {
         err,
         ServingError::ReplicaDown { .. } | ServingError::WorkerPanic { .. }
     )
-}
-
-/// Renders a caught panic payload (mirrors the server's containment).
-pub(crate) fn panic_text(payload: Box<dyn std::any::Any + Send>) -> String {
-    if let Some(s) = payload.downcast_ref::<&str>() {
-        (*s).to_string()
-    } else if let Some(s) = payload.downcast_ref::<String>() {
-        s.clone()
-    } else {
-        "non-string panic payload".to_string()
-    }
-}
-
-/// The execution seam between the server's dispatch / worker loops and
-/// whatever actually runs a group: a lone engine (the scoped/batch paths)
-/// or a [`ReplicaSet`] (the replicated server).
-pub(crate) trait GroupExecutor: Sync {
-    /// The engine whose layer metadata (k, m, policy) groups are planned
-    /// against.
-    fn meta(&self) -> &ServingEngine;
-
-    /// Executes a group operand: `fused` selects the pad-free
-    /// coalesced-group path, `kind`/`slack_us` feed degradation shedding
-    /// and hedged dispatch (ignored by a bare engine).
-    fn execute_routed(
-        &self,
-        layer: usize,
-        activations: &DenseMatrix,
-        fused: bool,
-        kind: SloKind,
-        slack_us: Option<u64>,
-    ) -> Result<(DenseMatrix, f64), ServingError>;
-
-    /// The replica a layer's traffic homes to (always 0 for a lone engine).
-    /// Decode sessions record their sweeps against the home replica so
-    /// session state and the warm plan cache co-reside; a replicated
-    /// executor answers with its consistent-hash route.
-    fn home_replica(&self, layer: usize) -> usize {
-        let _ = layer;
-        0
-    }
-}
-
-impl GroupExecutor for ServingEngine {
-    fn meta(&self) -> &ServingEngine {
-        self
-    }
-
-    fn execute_routed(
-        &self,
-        layer: usize,
-        activations: &DenseMatrix,
-        fused: bool,
-        _kind: SloKind,
-        _slack_us: Option<u64>,
-    ) -> Result<(DenseMatrix, f64), ServingError> {
-        if fused {
-            self.execute_group_profiled(layer, activations)
-        } else {
-            self.execute_profiled(layer, activations)
-        }
-    }
-}
-
-impl GroupExecutor for ReplicaSet {
-    fn meta(&self) -> &ServingEngine {
-        self.primary()
-    }
-
-    fn execute_routed(
-        &self,
-        layer: usize,
-        activations: &DenseMatrix,
-        fused: bool,
-        kind: SloKind,
-        slack_us: Option<u64>,
-    ) -> Result<(DenseMatrix, f64), ServingError> {
-        self.dispatch(layer, activations, fused, kind, slack_us)
-    }
-
-    fn home_replica(&self, layer: usize) -> usize {
-        self.home(layer)
-    }
 }
 
 #[cfg(test)]

@@ -1,27 +1,27 @@
-//! The continuous-batching serving front-end.
+//! The continuous-batching serving front-end — the crate's one front door.
 //!
-//! The historical `Scheduler::serve(engine, Vec<Request>) -> Vec<Response>`
-//! API could only coalesce requests the *caller* had already batched: the
-//! cross-request column coalescing of the fused panel sweep stopped at the
-//! boundary of one synchronous call. [`Server`] removes that boundary the way
-//! Orca-style continuous-batching systems do — requests arrive independently
-//! and the **server** forms the batches:
+//! Requests arrive independently and the **server** forms the batches, the
+//! way Orca-style continuous-batching systems do; the cross-request column
+//! coalescing of the fused panel sweep is not bounded by any caller-side
+//! batch:
 //!
 //! * [`Server::submit`] hands in one request and returns a [`Ticket`]
 //!   immediately. Submission is non-blocking: a full bounded queue rejects
 //!   with the typed [`SubmitError::QueueFull`] backpressure signal instead of
-//!   blocking or buffering without bound.
+//!   blocking or buffering without bound. [`Server::submit_batch`] admits a
+//!   whole batch atomically, so a zero-window server plans it in one
+//!   admission round.
 //! * A **dispatcher thread** holds an *admission window*
 //!   ([`ServerConfig::admission_window_us`]): the first undispatched arrival
 //!   opens the window, later arrivals join it, and when it closes everything
 //!   queued is planned at once — same-layer, same-class requests are
 //!   column-concatenated ([`shfl_core::matrix::DenseMatrix::concat_cols`])
-//!   into shared fused executes exactly like the batch scheduler did, except
-//!   now **across arrivals**. A zero window dispatches whatever has
-//!   accumulated immediately (opportunistic batching only).
+//!   into shared fused executes (first-fit-decreasing under the width cap).
+//!   A zero window dispatches whatever has accumulated immediately
+//!   (opportunistic batching only).
 //! * Ready groups are ordered by a pluggable [`QueuePolicy`] (FIFO, LPT,
 //!   shortest-job-first, deadline-class SLO scheduling) and executed by a
-//!   fixed worker pool over the shared [`ServingEngine`].
+//!   fixed worker pool over the server's [`ReplicaSet`].
 //! * [`Ticket::wait`] blocks on a condvar until the response lands — no
 //!   async runtime, consistent with the offline compatibility shims.
 //!   [`Ticket::cancel`] (or just dropping the ticket) withdraws a request
@@ -73,25 +73,22 @@
 //!
 //! ## Replicated serving
 //!
-//! [`Server::start_replicated`] runs the same dispatcher/worker machinery
-//! over a [`ReplicaSet`] of data-parallel engines instead of one: groups are
-//! routed to each layer's consistent-hash home replica (plan caches stay
-//! warm), stolen to a lighter replica under queue pressure, failed over with
-//! bounded backoff when a replica dies, and optionally hedged for
-//! deadline-class work about to miss. [`ServerStats::replicas`] carries the
-//! per-replica health/failover plane, and [`Server::update_layer`] fans out
-//! to every replica under a per-layer version barrier so no coalesced group
-//! ever observes two replicas on different weight versions. See
+//! Every server executes over a [`ReplicaSet`] of data-parallel engines:
+//! [`Server::start`] wraps a lone engine in a single-replica set (routing,
+//! stealing and hedging are degenerate with one replica), and
+//! [`Server::start_replicated`] takes a set of many. Groups are routed to
+//! each layer's consistent-hash home replica (plan caches stay warm), stolen
+//! to a lighter replica under queue pressure, failed over with bounded
+//! backoff when a replica dies, and optionally hedged for deadline-class
+//! work about to miss. [`ServerStats::replicas`] carries the per-replica
+//! health/failover plane, and [`Server::update_layer`] fans out to every
+//! replica under a per-layer version barrier so no coalesced group ever
+//! observes two replicas on different weight versions. See
 //! [`crate::replica`] for the routing and health model.
-//!
-//! The old API survives: [`crate::scheduler::Scheduler::serve`] is now a thin
-//! compatibility shim that runs one zero-window server scoped to the call
-//! (see [`Server::scoped`]).
 
 use crate::engine::{ServingEngine, UpdateError, UpdateReport};
 use crate::policy::{Fifo, GroupMeta, QueuePolicy};
-use crate::replica::{GroupExecutor, ReplicaSet, ReplicaSetStats};
-use crate::scheduler::{Request, Response};
+use crate::replica::{ReplicaSet, ReplicaSetStats};
 use crate::session::{DecodeModel, SessionHandle, SessionManager, SessionStats};
 use crate::ServingError;
 use shfl_core::formats::ShflBwMatrix;
@@ -101,6 +98,32 @@ use std::collections::VecDeque;
 use std::fmt;
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
+
+/// One serving request: a layer id and an activation operand of any width.
+#[derive(Debug, Clone)]
+pub struct Request {
+    /// Caller-chosen request id, echoed in the [`Response`].
+    pub id: u64,
+    /// The registered layer the request addresses.
+    pub layer: usize,
+    /// Activation operand (`k × n`, `n` arbitrary).
+    pub activations: DenseMatrix,
+}
+
+/// The outcome of one request.
+#[derive(Debug)]
+pub struct Response {
+    /// The id of the request this responds to.
+    pub id: u64,
+    /// The layer output (`m × n`), or a typed serving error.
+    pub result: Result<DenseMatrix, ServingError>,
+    /// Wall-clock service time of the request in milliseconds (queue wait
+    /// excluded; this is the execute latency on the worker).
+    pub service_ms: f64,
+    /// Modeled GPU time of the bucket launches the request mapped onto (µs);
+    /// zero when the request failed.
+    pub modeled_us: f64,
+}
 
 /// Configuration of a [`Server`] (the builder the roadmap's "make the cap a
 /// knob" item asked for). Fields are public; the `with_*` methods chain.
@@ -127,8 +150,7 @@ pub struct ServerConfig {
     /// other classes still have.
     pub class_queue_depth: [Option<usize>; SloKind::COUNT],
     /// Whether same-layer, same-class requests coalesce into shared fused
-    /// executes. Disabled, every request is its own dispatch unit (the
-    /// historical plain scheduler).
+    /// executes. Disabled, every request is its own dispatch unit.
     pub coalesce: bool,
     /// Width cap of a coalesced group, in activation columns. `None` uses
     /// each layer's `max_bucket` (the measured sweet spot on a small-cache
@@ -344,11 +366,9 @@ pub struct ServerStats {
     /// stats stay bounded; the counters above remain exact forever.
     pub completions: Vec<Completion>,
     /// The replica tier's aggregate stats plane — per-replica health and
-    /// load plus the set-wide failover/hedging/shedding counters. `None`
-    /// for single-engine servers ([`Server::scoped`] and the batch shim);
-    /// always `Some` on a server started with [`Server::start`] or
-    /// [`Server::start_replicated`].
-    pub replicas: Option<ReplicaSetStats>,
+    /// load plus the set-wide failover/hedging/shedding counters (one
+    /// replica for a server started with [`Server::start`]).
+    pub replicas: ReplicaSetStats,
 }
 
 impl ServerStats {
@@ -639,12 +659,12 @@ impl Recorder {
     }
 }
 
-/// The shared state of one server: submission queue, ready queue, stats.
-/// Owned (`Arc`) by [`Server`] and borrowed by the scoped variant — the
-/// dispatcher and worker loops take the engine as a parameter so one
-/// implementation serves both ownership modes.
+/// The shared state of one server: the replica set it executes on, the
+/// submission queue, the ready queue and the stats. Shared (`Arc`) between
+/// [`Server`] and its dispatcher and worker threads.
 struct ServerCore {
     cfg: ServerConfig,
+    replicas: ReplicaSet,
     started_at: Instant,
     queue: Mutex<SubmitQueue>,
     queue_cv: Condvar,
@@ -661,9 +681,10 @@ struct ServerCore {
 }
 
 impl ServerCore {
-    fn new(cfg: ServerConfig) -> Self {
+    fn new(cfg: ServerConfig, replicas: ReplicaSet) -> Self {
         ServerCore {
             cfg,
+            replicas,
             started_at: Instant::now(),
             queue: Mutex::new(SubmitQueue {
                 pending: VecDeque::new(),
@@ -896,6 +917,9 @@ impl ServerCore {
     }
 
     fn stats(&self) -> ServerStats {
+        // Snapshot the replica plane first, outside the recorder lock the
+        // workers record completions under.
+        let replicas = self.replicas.stats();
         let rec = self.recorder.lock().expect("recorder poisoned");
         ServerStats {
             submitted: rec.submitted,
@@ -911,7 +935,7 @@ impl ServerCore {
             coalesced_groups: rec.coalesced_groups,
             coalesced_requests: rec.coalesced_requests,
             completions: rec.completions.iter().cloned().collect(),
-            replicas: None,
+            replicas,
         }
     }
 
@@ -943,9 +967,7 @@ impl ServerCore {
 
     /// The dispatcher: waits for arrivals, holds the admission window,
     /// plans ready groups, and pushes them policy-ordered for the workers.
-    /// `exec` is whatever runs groups — a lone engine, or a [`ReplicaSet`]
-    /// routing across replicas.
-    fn dispatch_loop(&self, exec: &dyn GroupExecutor) {
+    fn dispatch_loop(&self) {
         let window = self.cfg.admission_window();
         loop {
             // Phase 1: wait for an arrival and hold its admission window.
@@ -1019,7 +1041,7 @@ impl ServerCore {
             if batch.is_empty() {
                 continue;
             }
-            let groups = self.plan_groups(exec.meta(), batch);
+            let groups = self.plan_groups(batch);
             {
                 let mut rec = self.recorder.lock().expect("recorder poisoned");
                 rec.dispatched_groups += groups.len() as u64;
@@ -1115,11 +1137,12 @@ impl ServerCore {
     /// under the width cap ([`ServerConfig::coalesce_cap`], default the
     /// layer's largest bucket — groups wider than the largest bucket are
     /// legal and run as one fused multi-segment sweep).
-    fn plan_groups(&self, engine: &ServingEngine, batch: Vec<Pending>) -> Vec<ReadyGroup> {
+    fn plan_groups(&self, batch: Vec<Pending>) -> Vec<ReadyGroup> {
+        let engine = self.replicas.primary();
         if !self.cfg.coalesce {
             return batch
                 .into_iter()
-                .map(|p| self.make_group(engine, vec![p]))
+                .map(|p| self.make_group(vec![p]))
                 .collect();
         }
         let mut invalid = Vec::new();
@@ -1164,23 +1187,16 @@ impl ServerCore {
                     None => chunks.push((width, vec![pending])),
                 }
             }
-            groups.extend(
-                chunks
-                    .into_iter()
-                    .map(|(_, chunk)| self.make_group(engine, chunk)),
-            );
+            groups.extend(chunks.into_iter().map(|(_, chunk)| self.make_group(chunk)));
         }
         // Malformed requests error out without compute; they ride along as
         // singles with zero estimated cost.
-        groups.extend(
-            invalid
-                .into_iter()
-                .map(|p| self.make_group(engine, vec![p])),
-        );
+        groups.extend(invalid.into_iter().map(|p| self.make_group(vec![p])));
         groups
     }
 
-    fn make_group(&self, engine: &ServingEngine, members: Vec<Pending>) -> ReadyGroup {
+    fn make_group(&self, members: Vec<Pending>) -> ReadyGroup {
+        let engine = self.replicas.primary();
         debug_assert!(!members.is_empty());
         let layer = members[0].request.layer;
         let kind = members[0].class.kind();
@@ -1214,7 +1230,7 @@ impl ServerCore {
 
     /// One worker: pops policy-ordered ready groups and executes them until
     /// the dispatcher has exited and the queue is dry.
-    fn worker_loop(&self, exec: &dyn GroupExecutor) {
+    fn worker_loop(&self) {
         loop {
             let group = {
                 let mut ready = self.ready.lock().expect("ready queue poisoned");
@@ -1233,7 +1249,7 @@ impl ServerCore {
                     ready = self.ready_cv.wait(ready).expect("ready queue poisoned");
                 }
             };
-            self.execute_group(exec, group);
+            self.execute_group(group);
         }
     }
 
@@ -1249,11 +1265,11 @@ impl ServerCore {
     /// the worker supervisor ([`ServerCore::worker_entry`]) respawns the
     /// thread. No lock is held across the engine call, so the unwind cannot
     /// poison the server's mutexes.
-    fn execute_group(&self, exec: &dyn GroupExecutor, group: ReadyGroup) {
+    fn execute_group(&self, group: ReadyGroup) {
         let ReadyGroup { meta, members } = group;
         let exec_start = Instant::now();
         let computed = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            self.compute_responses(exec, &meta, &members, exec_start)
+            self.compute_responses(&meta, &members, exec_start)
         }));
         let responses = match computed {
             Ok(responses) => responses,
@@ -1324,14 +1340,13 @@ impl ServerCore {
     }
 
     /// Computes one response per group member: the (possibly fused) routed
-    /// execute plus the per-member scatter. May panic (the executor is
-    /// arbitrary code; the chaos layer injects panics here on purpose) —
-    /// [`ServerCore::execute_group`] contains the unwind. The group's
-    /// remaining deadline slack rides along so a replicated executor can
-    /// hedge deadline-class dispatches that are about to miss.
+    /// execute plus the per-member scatter. May panic (the chaos layer
+    /// injects panics here on purpose) — [`ServerCore::execute_group`]
+    /// contains the unwind. The group's remaining deadline slack rides along
+    /// so the replica set can hedge deadline-class dispatches that are about
+    /// to miss.
     fn compute_responses(
         &self,
-        exec: &dyn GroupExecutor,
         meta: &GroupMeta,
         members: &[Pending],
         exec_start: Instant,
@@ -1371,7 +1386,7 @@ impl ServerCore {
         }
         if members.len() == 1 {
             let pending = &members[0];
-            let (result, modeled_us) = match exec.execute_routed(
+            let (result, modeled_us) = match self.replicas.dispatch(
                 pending.request.layer,
                 &pending.request.activations,
                 false,
@@ -1394,7 +1409,9 @@ impl ServerCore {
             let total_cols = combined.cols();
             // Pad-free group execution: a partially-filled group runs the
             // exact-width fused sweep instead of padding up to its bucket.
-            let executed = exec.execute_routed(meta.layer, &combined, true, meta.kind, slack_us);
+            let executed = self
+                .replicas
+                .dispatch(meta.layer, &combined, true, meta.kind, slack_us);
             let service_ms = exec_start.elapsed().as_secs_f64() * 1e3;
             match executed {
                 Ok((output, us)) => {
@@ -1439,10 +1456,10 @@ impl ServerCore {
     /// into the caller, with the old version still serving.
     fn guarded_update(
         &self,
-        engine: &ServingEngine,
         layer: usize,
         op: impl FnOnce() -> Result<UpdateReport, UpdateError>,
     ) -> Result<UpdateReport, UpdateError> {
+        let engine = self.replicas.primary();
         #[cfg(feature = "chaos")]
         let injected_panic = match self.cfg.fault_plan.as_ref().map(|p| p.poll_update()) {
             Some(crate::chaos::ExecFault::FailBuild) => {
@@ -1486,10 +1503,9 @@ impl ServerCore {
     /// pool therefore never shrinks below the configured size, and a
     /// panicking engine cannot wedge the dispatcher's pacing wait or
     /// `drain()`.
-    fn worker_entry(&self, exec: &dyn GroupExecutor) {
+    fn worker_entry(&self) {
         loop {
-            let run =
-                std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| self.worker_loop(exec)));
+            let run = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| self.worker_loop()));
             if run.is_ok() {
                 break;
             }
@@ -1502,8 +1518,10 @@ impl ServerCore {
 }
 
 /// Best-effort extraction of a panic payload's message (the common `&str` /
-/// `String` payloads; anything else gets a placeholder).
-fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
+/// `String` payloads; anything else gets a placeholder). The one renderer
+/// behind every contained panic of the crate: worker, replica attempt,
+/// decode step and update build.
+pub(crate) fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
     payload
         .downcast_ref::<&str>()
         .map(|s| s.to_string())
@@ -1511,20 +1529,9 @@ fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
         .unwrap_or_else(|| "non-string panic payload".to_string())
 }
 
-/// Stops the core when dropped — the panic-safety net of [`Server::scoped`]
-/// (threads must exit or the scope join would deadlock the unwind).
-struct StopOnDrop<'a> {
-    core: &'a ServerCore,
-}
-
-impl Drop for StopOnDrop<'_> {
-    fn drop(&mut self) {
-        self.core.stop();
-    }
-}
-
-/// The continuous-batching serving front-end: owns the [`ServingEngine`] and
-/// the dispatcher/worker threads. See the [module docs](self) for the model.
+/// The continuous-batching serving front-end: owns the [`ReplicaSet`] it
+/// executes on and the dispatcher/worker threads. See the
+/// [module docs](self) for the model.
 ///
 /// ## Example
 ///
@@ -1534,8 +1541,7 @@ impl Drop for StopOnDrop<'_> {
 /// use shfl_core::bucket::BucketPolicy;
 /// use shfl_core::{DenseMatrix, ShflBwMatrix};
 /// use shfl_serving::engine::ServingEngine;
-/// use shfl_serving::scheduler::Request;
-/// use shfl_serving::server::{Server, ServerConfig};
+/// use shfl_serving::server::{Request, Server, ServerConfig};
 ///
 /// let mut rng = StdRng::seed_from_u64(0);
 /// let dense = DenseMatrix::from_fn(32, 32, |r, c| {
@@ -1559,7 +1565,6 @@ impl Drop for StopOnDrop<'_> {
 /// ```
 pub struct Server {
     core: Arc<ServerCore>,
-    replicas: Arc<ReplicaSet>,
     sessions: Arc<SessionManager>,
     threads: Vec<std::thread::JoinHandle<()>>,
 }
@@ -1570,8 +1575,7 @@ impl Server {
     /// [`ServerConfig::workers`] worker threads and begins accepting
     /// submissions immediately. Equivalent to [`Server::start_replicated`]
     /// over a single-replica [`ReplicaSet`] — routing, stealing, and
-    /// hedging are all degenerate with one replica, so the behaviour is
-    /// exactly the historical single-engine server.
+    /// hedging are all degenerate with one replica.
     pub fn start(engine: impl Into<Arc<ServingEngine>>, config: ServerConfig) -> Self {
         Self::start_replicated(ReplicaSet::single(engine.into()), config)
     }
@@ -1592,8 +1596,7 @@ impl Server {
             }
             replicas
         };
-        let replicas = Arc::new(replicas);
-        let core = Arc::new(ServerCore::new(config));
+        let core = Arc::new(ServerCore::new(config, replicas));
         #[allow(unused_mut)]
         let mut sessions =
             SessionManager::new(core.cfg.session_capacity, Arc::clone(&core.cfg.policy));
@@ -1603,67 +1606,35 @@ impl Server {
         let mut threads = Vec::with_capacity(core.cfg.workers + 2);
         for _ in 0..core.cfg.workers.max(1) {
             let core = Arc::clone(&core);
-            let reps = Arc::clone(&replicas);
-            threads.push(std::thread::spawn(move || core.worker_entry(reps.as_ref())));
+            threads.push(std::thread::spawn(move || core.worker_entry()));
         }
         {
             let core = Arc::clone(&core);
-            let reps = Arc::clone(&replicas);
-            threads.push(std::thread::spawn(move || {
-                core.dispatch_loop(reps.as_ref())
-            }));
+            threads.push(std::thread::spawn(move || core.dispatch_loop()));
         }
         {
+            let core = Arc::clone(&core);
             let sessions = Arc::clone(&sessions);
-            let reps = Arc::clone(&replicas);
-            threads.push(std::thread::spawn(move || sessions.drive(reps.as_ref())));
+            threads.push(std::thread::spawn(move || sessions.drive(&core.replicas)));
         }
         Server {
             core,
-            replicas,
             sessions,
             threads,
         }
     }
 
-    /// Runs a **scoped** server over a borrowed engine: the dispatcher and
-    /// workers run as scoped threads for the duration of `f`, then the
-    /// server drains and stops. This is how [`crate::Scheduler::serve`]
-    /// implements the historical batch API on top of the server, and a
-    /// convenient harness for tests that already own an engine on the stack.
-    pub fn scoped<R>(
-        engine: &ServingEngine,
-        config: ServerConfig,
-        f: impl FnOnce(&ScopedServer<'_>) -> R,
-    ) -> R {
-        let core = ServerCore::new(config);
-        std::thread::scope(|s| {
-            for _ in 0..core.cfg.workers.max(1) {
-                s.spawn(|| core.worker_entry(engine));
-            }
-            s.spawn(|| core.dispatch_loop(engine));
-            let guard = StopOnDrop { core: &core };
-            let out = f(&ScopedServer {
-                core: &core,
-                engine,
-            });
-            core.drain();
-            drop(guard); // graceful: drained above, now stop the threads
-            out
-        })
-    }
-
     /// The primary replica's engine — the metadata source groups are
     /// planned against (all replicas mirror the same registered layers).
     pub fn engine(&self) -> &ServingEngine {
-        self.replicas.primary()
+        self.core.replicas.primary()
     }
 
     /// The replica set this server routes over: per-replica health, the
     /// kill/revive admin plane, and probe-driven health transitions. A
     /// server started with [`Server::start`] has a single-replica set.
     pub fn replica_set(&self) -> &ReplicaSet {
-        &self.replicas
+        &self.core.replicas
     }
 
     /// The configuration the server was started with.
@@ -1706,9 +1677,7 @@ impl Server {
     /// with the replica tier's aggregate stats plane in
     /// [`ServerStats::replicas`].
     pub fn stats(&self) -> ServerStats {
-        let mut stats = self.core.stats();
-        stats.replicas = Some(self.replicas.stats());
-        stats
+        self.core.stats()
     }
 
     /// Publishes new weights for a registered layer **without stopping
@@ -1733,10 +1702,9 @@ impl Server {
         layer: usize,
         new_weights: ShflBwMatrix,
     ) -> Result<UpdateReport, UpdateError> {
-        self.core
-            .guarded_update(self.replicas.primary(), layer, || {
-                self.replicas.update_layer_all(layer, new_weights)
-            })
+        self.core.guarded_update(layer, || {
+            self.core.replicas.update_layer_all(layer, new_weights)
+        })
     }
 
     /// Republishes the layer's previous weights under a fresh version —
@@ -1750,9 +1718,7 @@ impl Server {
     /// [`UpdateError::NoPreviousVersion`] for a never-updated layer.
     pub fn rollback_layer(&self, layer: usize) -> Result<UpdateReport, UpdateError> {
         self.core
-            .guarded_update(self.replicas.primary(), layer, || {
-                self.replicas.rollback_layer_all(layer)
-            })
+            .guarded_update(layer, || self.core.replicas.rollback_layer_all(layer))
     }
 
     /// Opens a stateful decode session: the session driver steps it every
@@ -1843,81 +1809,5 @@ impl Drop for Server {
         for handle in self.threads.drain(..) {
             let _ = handle.join();
         }
-    }
-}
-
-/// The submission handle [`Server::scoped`] passes to its closure — the same
-/// API surface as the owned [`Server`], over a borrowed engine.
-pub struct ScopedServer<'a> {
-    core: &'a ServerCore,
-    engine: &'a ServingEngine,
-}
-
-impl ScopedServer<'_> {
-    /// See [`Server::submit`].
-    ///
-    /// # Errors
-    ///
-    /// See [`Server::submit`].
-    pub fn submit(&self, request: Request) -> Result<Ticket, SubmitError> {
-        self.core.submit(request, SloClass::Standard)
-    }
-
-    /// See [`Server::submit_classed`].
-    ///
-    /// # Errors
-    ///
-    /// See [`Server::submit`].
-    pub fn submit_classed(&self, request: Request, class: SloClass) -> Result<Ticket, SubmitError> {
-        self.core.submit(request, class)
-    }
-
-    /// See [`Server::submit_batch`].
-    ///
-    /// # Errors
-    ///
-    /// See [`Server::submit`].
-    pub fn submit_batch(&self, requests: Vec<Request>) -> Result<Vec<Ticket>, SubmitError> {
-        self.core.submit_batch(requests, SloClass::Standard)
-    }
-
-    /// See [`Server::stats`].
-    pub fn stats(&self) -> ServerStats {
-        self.core.stats()
-    }
-
-    /// The engine this scoped server executes on.
-    pub fn engine(&self) -> &ServingEngine {
-        self.engine
-    }
-
-    /// See [`Server::update_layer`].
-    ///
-    /// # Errors
-    ///
-    /// See [`Server::update_layer`].
-    pub fn update_layer(
-        &self,
-        layer: usize,
-        new_weights: ShflBwMatrix,
-    ) -> Result<UpdateReport, UpdateError> {
-        self.core.guarded_update(self.engine, layer, || {
-            self.engine.update_layer(layer, new_weights)
-        })
-    }
-
-    /// See [`Server::rollback_layer`].
-    ///
-    /// # Errors
-    ///
-    /// See [`Server::rollback_layer`].
-    pub fn rollback_layer(&self, layer: usize) -> Result<UpdateReport, UpdateError> {
-        self.core
-            .guarded_update(self.engine, layer, || self.engine.rollback_layer(layer))
-    }
-
-    /// See [`Server::drain`].
-    pub fn drain(&self) {
-        self.core.drain();
     }
 }

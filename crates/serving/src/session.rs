@@ -40,8 +40,9 @@
 //! The public entry points live on [`Server`](crate::server::Server):
 //! `open_session`, `resume_session`, `evict_session`, `session_stats`.
 
+use crate::engine::ServingEngine;
 use crate::policy::{GroupMeta, QueuePolicy};
-use crate::replica::GroupExecutor;
+use crate::replica::ReplicaSet;
 use crate::server::SubmitError;
 use crate::ServingError;
 use shfl_core::slo::{SloClass, SloKind};
@@ -592,12 +593,18 @@ impl SessionManager {
     /// [`ServingError::ShutDown`], no new sessions are accepted.
     pub(crate) fn stop(&self) {
         self.stopping.store(true, Ordering::SeqCst);
+        // Pass through the manager lock before notifying: the driver checks
+        // `stopping` and parks on `wake` under that lock, so without it the
+        // store and the notify can land between its check and its wait, and
+        // the driver (and the server join behind it) sleeps forever. A
+        // poisoned lock is released all the same; this runs from `Drop`.
+        drop(self.inner.lock());
         self.wake.notify_all();
     }
 
     /// The driver loop (one dedicated thread): sleeps while no session is
     /// live, otherwise runs interleave rounds until stopped.
-    pub(crate) fn drive(&self, exec: &dyn GroupExecutor) {
+    pub(crate) fn drive(&self, replicas: &ReplicaSet) {
         loop {
             {
                 let mut inner = self.inner.lock().expect("session manager poisoned");
@@ -611,7 +618,7 @@ impl SessionManager {
                     return;
                 }
             }
-            self.run_round(exec);
+            self.run_round(replicas);
             std::thread::yield_now();
         }
     }
@@ -668,7 +675,7 @@ impl SessionManager {
     /// chaos step faults, group ready sequences by model, order the sweeps
     /// by the queue policy, and execute each group stage-by-stage with
     /// scatter-back.
-    fn run_round(&self, exec: &dyn GroupExecutor) {
+    fn run_round(&self, replicas: &ReplicaSet) {
         let mut inner = self.inner.lock().expect("session manager poisoned");
 
         // Reap sessions whose every handle/ticket was dropped (only the
@@ -731,19 +738,19 @@ impl SessionManager {
         }
         let mut ordered: Vec<(GroupMeta, Vec<LiveSession>)> = groups
             .into_iter()
-            .map(|(_, members)| (Self::sweep_meta(exec, &members), members))
+            .map(|(_, members)| (Self::sweep_meta(replicas.primary(), &members), members))
             .collect();
         ordered.sort_by(|a, b| self.policy.compare(&a.0, &b.0));
 
         for (meta, members) in ordered {
-            let survivors = Self::process_group(exec, &meta, members, &mut inner.stats);
+            let survivors = Self::process_group(replicas, &meta, members, &mut inner.stats);
             inner.live.extend(survivors);
         }
     }
 
     /// The sweep's scheduling meta: most urgent member's kind, earliest
     /// per-token deadline budget, summed GEMM work, lowest session id.
-    fn sweep_meta(exec: &dyn GroupExecutor, members: &[LiveSession]) -> GroupMeta {
+    fn sweep_meta(engine: &ServingEngine, members: &[LiveSession]) -> GroupMeta {
         let kind = members
             .iter()
             .map(|m| m.class.kind())
@@ -754,7 +761,6 @@ impl SessionManager {
             .iter()
             .filter_map(|m| m.per_token.deadline_us())
             .min();
-        let engine = exec.meta();
         let per_column: u128 = members
             .first()
             .map(|m| {
@@ -783,7 +789,7 @@ impl SessionManager {
     /// execute error fails the whole group's tickets; success streams one
     /// token per member. Returns the members still live after the step.
     fn process_group(
-        exec: &dyn GroupExecutor,
+        replicas: &ReplicaSet,
         meta: &GroupMeta,
         mut members: Vec<LiveSession>,
         stats: &mut SessionStats,
@@ -792,7 +798,7 @@ impl SessionManager {
         if width == 0 {
             return members;
         }
-        let engine = exec.meta();
+        let engine = replicas.primary();
         let stages: Vec<DecodeStage> = members[0].model.stages().to_vec();
         let start = Instant::now();
         let outcome = catch_unwind(AssertUnwindSafe(
@@ -813,7 +819,7 @@ impl SessionManager {
                         cols.push(col);
                     }
                     let combined = DenseMatrix::from_fn(k, width, |r, c| cols[c][r]);
-                    let (out, _) = exec.execute_routed(
+                    let (out, _) = replicas.dispatch(
                         stage.layer,
                         &combined,
                         width > 1,
@@ -824,7 +830,7 @@ impl SessionManager {
                     stats.sweep_columns += width as u64;
                     *stats
                         .sweeps_by_replica
-                        .entry(exec.home_replica(stage.layer))
+                        .entry(replicas.home(stage.layer))
                         .or_insert(0) += 1;
                     for (c, m) in members.iter_mut().enumerate() {
                         let col: Vec<f32> = (0..out.rows()).map(|r| out.get(r, c)).collect();
@@ -843,7 +849,7 @@ impl SessionManager {
         ));
         match outcome {
             Err(payload) => {
-                let context = crate::replica::panic_text(payload);
+                let context = crate::server::panic_message(payload.as_ref());
                 for m in members {
                     m.shared.fail(ServingError::WorkerPanic {
                         context: context.clone(),
@@ -890,7 +896,7 @@ impl SessionManager {
 }
 
 /// Reference decode loop: one sequence alone, every stage executed cold at
-/// width 1 ([`ServingEngine::execute_cold`](crate::engine::ServingEngine::execute_cold)).
+/// width 1 ([`ServingEngine::execute_cold`]).
 /// Returns the token values of each step. The interleaved session tier must
 /// be bit-identical to this, per sequence, including across eviction/resume.
 ///
@@ -898,7 +904,7 @@ impl SessionManager {
 ///
 /// Any typed engine error a stage execute surfaces.
 pub fn decode_oracle(
-    engine: &crate::engine::ServingEngine,
+    engine: &ServingEngine,
     model: &dyn DecodeModel,
     prompt: &[f32],
     steps: usize,
@@ -924,7 +930,6 @@ pub fn decode_oracle(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::engine::ServingEngine;
     use crate::policy::Fifo;
     use gpu_sim::GpuArch;
     use shfl_core::bucket::BucketPolicy;
@@ -1077,7 +1082,7 @@ mod tests {
 
     #[test]
     fn interleaved_sessions_match_the_cold_oracle_bit_for_bit() {
-        let engine = engine_with_toy_layers();
+        let replicas = ReplicaSet::single(Arc::new(engine_with_toy_layers()));
         let model: Arc<dyn DecodeModel> = Arc::new(ToyModel::new());
         let mgr = SessionManager::new(8, Arc::new(Fifo));
         let steps = 5;
@@ -1088,7 +1093,7 @@ mod tests {
             })
             .collect();
         for _ in 0..steps {
-            mgr.run_round(&engine);
+            mgr.run_round(&replicas);
         }
         let cold = engine_with_toy_layers();
         for (i, h) in handles.iter().enumerate() {
@@ -1105,13 +1110,13 @@ mod tests {
         assert_eq!(stats.completed, 4);
         assert_eq!(stats.tokens, 4 * steps as u64);
         assert!(stats.mean_interleave_width() > 3.9);
-        // A lone engine homes every sweep on replica 0.
+        // A single-replica set homes every sweep on replica 0.
         assert_eq!(stats.sweeps_by_replica.get(&0).copied(), Some(stats.sweeps));
     }
 
     #[test]
     fn capacity_pressure_evicts_bulk_and_resume_continues_bit_identically() {
-        let engine = engine_with_toy_layers();
+        let replicas = ReplicaSet::single(Arc::new(engine_with_toy_layers()));
         let model: Arc<dyn DecodeModel> = Arc::new(ToyModel::new());
         let mgr = SessionManager::new(2, Arc::new(Fifo));
         let steps = 6;
@@ -1121,13 +1126,13 @@ mod tests {
         let std1 = mgr
             .open(Arc::clone(&model), prompt(1), SloClass::Standard, steps)
             .unwrap();
-        mgr.run_round(&engine);
-        mgr.run_round(&engine);
+        mgr.run_round(&replicas);
+        mgr.run_round(&replicas);
         // Third opener at capacity: the Bulk session yields.
         let std2 = mgr
             .open(Arc::clone(&model), prompt(2), SloClass::Standard, steps)
             .unwrap();
-        mgr.run_round(&engine);
+        mgr.run_round(&replicas);
         let (toks, err) = drain(&bulk.ticket());
         assert_eq!(toks.len(), 2, "bulk streamed its pre-eviction tokens");
         assert_eq!(err, Some(ServingError::Evicted { session: bulk.id() }));
@@ -1135,12 +1140,12 @@ mod tests {
         // snapshot stays parked.
         assert!(matches!(mgr.resume(bulk.id()), Err(ServingError::Shed)));
         for _ in 0..steps {
-            mgr.run_round(&engine);
+            mgr.run_round(&replicas);
         }
         let resumed = mgr.resume(bulk.id()).expect("parked snapshot resumable");
         assert_eq!(resumed.id(), bulk.id());
         for _ in 0..steps {
-            mgr.run_round(&engine);
+            mgr.run_round(&replicas);
         }
         let (tail, err) = drain(&resumed.ticket());
         assert!(err.is_none(), "resumed session failed: {err:?}");
@@ -1177,7 +1182,7 @@ mod tests {
 
     #[test]
     fn dropping_every_handle_cancels_and_a_hook_panic_fails_only_its_group() {
-        let engine = engine_with_toy_layers();
+        let replicas = ReplicaSet::single(Arc::new(engine_with_toy_layers()));
         let toy: Arc<dyn DecodeModel> = Arc::new(ToyModel::new());
         let panicky: Arc<dyn DecodeModel> = Arc::new(PanickyModel {
             inner: ToyModel::new(),
@@ -1197,7 +1202,7 @@ mod tests {
         let doomed_ticket = doomed.ticket();
         drop(dropped);
         for _ in 0..steps {
-            mgr.run_round(&engine);
+            mgr.run_round(&replicas);
         }
         // The abandoned session was reaped without stepping.
         let stats = mgr.stats();
@@ -1225,7 +1230,7 @@ mod tests {
 
     #[test]
     fn streaming_surface_polls_times_out_and_reports_finish() {
-        let engine = engine_with_toy_layers();
+        let replicas = ReplicaSet::single(Arc::new(engine_with_toy_layers()));
         let model: Arc<dyn DecodeModel> = Arc::new(ToyModel::new());
         let mgr = SessionManager::new(8, Arc::new(Fifo));
         let h = mgr
@@ -1240,9 +1245,9 @@ mod tests {
             ticket.wait_timeout(Duration::from_millis(5)),
             Err(ServingError::WaitTimeout)
         );
-        mgr.run_round(&engine);
+        mgr.run_round(&replicas);
         assert!(matches!(ticket.try_next(), Ok(Some(_))));
-        mgr.run_round(&engine);
+        mgr.run_round(&replicas);
         assert!(matches!(
             ticket.wait_timeout(Duration::from_millis(50)),
             Ok(Some(_))
@@ -1268,16 +1273,16 @@ mod tests {
 
     #[test]
     fn stop_fails_live_sessions_typed_and_refuses_new_ones() {
-        let engine = engine_with_toy_layers();
+        let replicas = ReplicaSet::single(Arc::new(engine_with_toy_layers()));
         let model: Arc<dyn DecodeModel> = Arc::new(ToyModel::new());
         let mgr = Arc::new(SessionManager::new(8, Arc::new(Fifo)));
         let h = mgr
             .open(Arc::clone(&model), prompt(0), SloClass::Standard, 64)
             .unwrap();
-        mgr.run_round(&engine);
+        mgr.run_round(&replicas);
         mgr.stop();
         let mgr2 = Arc::clone(&mgr);
-        let driver = std::thread::spawn(move || mgr2.drive(&engine));
+        let driver = std::thread::spawn(move || mgr2.drive(&replicas));
         driver.join().unwrap();
         let (toks, err) = drain(&h.ticket());
         assert_eq!(toks.len(), 1);

@@ -5,7 +5,7 @@
 //! splitting a wide request into bucket segments must reproduce the cold
 //! exact-width plan's output bit for bit. These property tests drive the
 //! whole serving stack — policy segmentation, plan cache, padding, cropping,
-//! reassembly, and the scheduler's concurrent path — against
+//! reassembly, and the server's concurrent batch path — against
 //! [`ServingEngine::execute_cold`], which the kernel crate's own property
 //! tests already chain to the naive reference oracles.
 
@@ -18,7 +18,11 @@ use shfl_core::bucket::BucketPolicy;
 use shfl_core::formats::{ShflBwMatrix, VectorWiseMatrix};
 use shfl_core::matrix::DenseMatrix;
 use shfl_serving::engine::ServingEngine;
-use shfl_serving::scheduler::{Request, Scheduler};
+use shfl_serving::server::Request;
+use std::sync::Arc;
+
+mod common;
+use common::serve_batch;
 
 /// Synthesises a Shfl-BW matrix directly in compressed form: each group of
 /// `v` rows keeps a random `density` fraction of columns, rows scattered by a
@@ -185,7 +189,7 @@ proptest! {
             .iter()
             .map(|r| engine.execute_cold(r.layer, &r.activations).unwrap())
             .collect();
-        let responses = Scheduler::coalescing(3).serve(&engine, requests);
+        let responses = serve_batch(&Arc::new(engine), requests, 3, true);
         for (resp, oracle) in responses.iter().zip(oracles.iter()) {
             let out = resp.result.as_ref().unwrap();
             prop_assert_eq!(bits(out), bits(oracle), "request {}", resp.id);
@@ -213,12 +217,30 @@ fn scheduler_fanout_preserves_bit_identity_per_request() {
         .iter()
         .map(|r| engine.execute_cold(r.layer, &r.activations).unwrap())
         .collect();
-    let responses = Scheduler::new(4).serve(&engine, requests);
+    // Each uncoalesced request looks up exactly one plan: its bucket's, or
+    // the largest bucket's for a multi-segment width (one fused sweep).
+    let policy = engine.layer_policy(layer).unwrap();
+    let mut buckets: Vec<usize> = requests
+        .iter()
+        .map(|r| match policy.segments(r.activations.cols()).as_slice() {
+            [single] => single.bucket,
+            _ => policy.max_bucket(),
+        })
+        .collect();
+    buckets.sort_unstable();
+    buckets.dedup();
+    let engine = Arc::new(engine);
+    let responses = serve_batch(&engine, requests, 4, false);
     for (resp, oracle) in responses.iter().zip(oracles.iter()) {
         let out = resp.result.as_ref().unwrap();
         assert_eq!(bits(out), bits(oracle), "request {}", resp.id);
     }
-    // Mixed widths over a handful of buckets: the trace must be hit-dominated.
+    // However the four workers race onto cold buckets, each distinct bucket
+    // is built exactly once (one miss) and every other lookup is a hit or a
+    // join of the in-flight build.
     let stats = engine.cache_stats();
+    assert_eq!(stats.misses, buckets.len() as u64);
+    assert_eq!(stats.hits + stats.shared_builds, 20 - buckets.len() as u64);
+    // Mixed widths over a handful of buckets: the trace must be hit-dominated.
     assert!(stats.hit_rate() > 0.8, "hit rate {:.2}", stats.hit_rate());
 }

@@ -11,8 +11,8 @@ use shfl_core::formats::ShflBwMatrix;
 use shfl_core::matrix::DenseMatrix;
 use shfl_core::slo::{SloClass, SloKind};
 use shfl_serving::policy::SloAware;
-use shfl_serving::scheduler::Request;
 use shfl_serving::server::{Server, ServerConfig, SubmitError};
+use shfl_serving::Request;
 use shfl_serving::{ServingEngine, ServingError};
 use std::sync::Arc;
 

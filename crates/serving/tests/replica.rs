@@ -11,8 +11,8 @@ use shfl_core::bucket::BucketPolicy;
 use shfl_core::formats::{ShflBwMatrix, VectorWiseMatrix};
 use shfl_core::matrix::DenseMatrix;
 use shfl_core::slo::{SloClass, SloKind};
-use shfl_serving::scheduler::Request;
 use shfl_serving::server::{Completion, Server, ServerConfig, ServerStats};
+use shfl_serving::Request;
 use shfl_serving::{ReplicaConfig, ReplicaSet, ServingEngine, ServingError, UpdateError};
 use std::sync::Arc;
 use std::time::Duration;
@@ -107,7 +107,7 @@ fn replicated_server_is_bit_identical_to_a_single_engine() {
     }
     server.drain();
     let stats = server.stats();
-    let replicas = stats.replicas.expect("replicated server exposes the plane");
+    let replicas = stats.replicas;
     assert_eq!(replicas.replicas.len(), 3);
     assert_eq!(replicas.failovers, 0, "no replica died");
     assert_eq!(replicas.degraded_sheds, 0);
@@ -139,7 +139,7 @@ fn killing_a_replica_fails_over_and_revival_restores_routing() {
         let got = ticket.wait().result.expect("failover serves every ticket");
         assert_eq!(bits(&got), bits(&expected[i]), "request {i}");
     }
-    let replicas = server.stats().replicas.expect("replicated plane");
+    let replicas = server.stats().replicas;
     assert!(
         replicas.failovers >= 1,
         "routing around the dead home must count as failover, got {replicas:?}"
@@ -170,7 +170,7 @@ fn killing_a_replica_fails_over_and_revival_restores_routing() {
     server.drain();
     let stats = server.stats();
     assert_eq!(stats.completed, stats.submitted);
-    let after = stats.replicas.expect("replicated plane");
+    let after = stats.replicas;
     assert!(
         after.replicas[victim].executes > 0,
         "the revived home must take its layer back"
@@ -219,7 +219,7 @@ fn degraded_fleet_sheds_bulk_and_keeps_serving_the_rest() {
     assert_eq!(bits(&got), bits(&oracle.execute(0, &acts).unwrap()));
 
     server.drain();
-    let replicas = server.stats().replicas.expect("replicated plane");
+    let replicas = server.stats().replicas;
     assert!(replicas.degraded_sheds >= 1);
     server.shutdown();
 }

@@ -16,8 +16,8 @@ use shfl_core::formats::{ShflBwMatrix, VectorWiseMatrix};
 use shfl_core::matrix::DenseMatrix;
 use shfl_core::slo::SloClass;
 use shfl_serving::chaos::FaultPlan;
-use shfl_serving::scheduler::Request;
 use shfl_serving::server::{Server, ServerConfig};
+use shfl_serving::Request;
 use shfl_serving::{HashRing, ReplicaConfig, ReplicaHealth, ReplicaSet, ServingEngine};
 use std::sync::Arc;
 
@@ -107,7 +107,7 @@ fn scripted_kill_and_revive_mid_trace_resolves_every_ticket() {
     server.drain();
     let stats = server.stats();
     assert_eq!(stats.completed, stats.submitted);
-    let replicas = stats.replicas.expect("replicated plane");
+    let replicas = stats.replicas;
     assert!(
         replicas.failover_retries >= 1,
         "the killed attempt must retry, got {replicas:?}"
@@ -252,7 +252,7 @@ fn slow_home_loses_the_hedge_race() {
     let got = ticket.wait().result.expect("hedged dispatch serves");
     assert_eq!(bits(&got), bits(&expected));
     server.drain();
-    let replicas = server.stats().replicas.expect("replicated plane");
+    let replicas = server.stats().replicas;
     assert!(replicas.hedged_dispatches >= 1, "got {replicas:?}");
     assert!(
         replicas.hedges_won >= 1,

@@ -11,12 +11,14 @@ use shfl_core::formats::ShflBwMatrix;
 use shfl_core::matrix::DenseMatrix;
 use shfl_core::slo::{SloClass, SloKind};
 use shfl_serving::policy::{ShortestJobFirst, SloAware};
-use shfl_serving::scheduler::Request;
-use shfl_serving::server::{Server, ServerConfig, SubmitError};
+use shfl_serving::server::{Request, Server, ServerConfig, SubmitError};
 use shfl_serving::{ServingEngine, ServingError};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
+
+mod common;
+use common::serve_batch;
 
 fn engine_with_layers(layers: usize) -> ServingEngine {
     let mut engine =
@@ -258,13 +260,19 @@ fn slo_policy_orders_deadline_before_standard_before_bulk() {
             .with_admission_window_us(5_000_000)
             .with_policy(Arc::new(SloAware)),
     );
+    // Both deadlines lie beyond the window's close, so neither triggers the
+    // deadline admission bypass: a deadline that falls inside the window
+    // would close it as soon as that request is queued, and whether the
+    // later submissions joined the round would depend on thread timing.
     let classes = [
         SloClass::Bulk,
         SloClass::Standard,
         SloClass::Deadline {
-            deadline_us: 900_000,
+            deadline_us: 60_000_000,
         },
-        SloClass::Deadline { deadline_us: 1_000 },
+        SloClass::Deadline {
+            deadline_us: 30_000_000,
+        },
     ];
     let tickets: Vec<_> = classes
         .iter()
@@ -291,6 +299,7 @@ fn slo_policy_orders_deadline_before_standard_before_bulk() {
     // Tightest deadline first, then the loose deadline, standard, bulk.
     assert_eq!(server.stats().completion_ids(), vec![3, 2, 1, 0]);
     let stats = server.stats();
+    assert_eq!(stats.deadline_bypasses, 0);
     assert!(stats
         .completions
         .iter()
@@ -698,4 +707,136 @@ fn dropping_an_undrained_server_fails_queued_tickets() {
         .unwrap();
     drop(server);
     assert_eq!(ticket.wait().result.unwrap_err(), ServingError::ShutDown);
+}
+
+/// An atomic batch through a zero-window, uncoalesced server comes back in
+/// request order, one engine execute per request.
+#[test]
+fn serves_a_mixed_batch_in_request_order() {
+    let engine = Arc::new(engine_with_layers(2));
+    let mut rng = StdRng::seed_from_u64(3);
+    let requests: Vec<Request> = (0..16)
+        .map(|i| {
+            let n = rng.gen_range(1..40);
+            Request {
+                id: 100 + i,
+                layer: (i % 2) as usize,
+                activations: DenseMatrix::random(&mut rng, 16, n),
+            }
+        })
+        .collect();
+    let widths: Vec<usize> = requests.iter().map(|r| r.activations.cols()).collect();
+    let responses = serve_batch(&engine, requests, 4, false);
+    assert_eq!(responses.len(), 16);
+    for (i, resp) in responses.iter().enumerate() {
+        assert_eq!(resp.id, 100 + i as u64);
+        let out = resp.result.as_ref().expect("request is well-formed");
+        assert_eq!(out.shape(), (16, widths[i]));
+        assert!(resp.service_ms >= 0.0);
+        assert!(resp.modeled_us > 0.0);
+    }
+    assert_eq!(engine.stats().requests, 16);
+}
+
+/// A coalescing zero-window server collapses same-layer requests of one
+/// batch into width-capped shared executes and scatters the outputs back
+/// bit-identically to individual service.
+#[test]
+fn coalesced_batches_are_bit_identical_to_individual_service() {
+    let engine = Arc::new(engine_with_layers(3));
+    let mut rng = StdRng::seed_from_u64(41);
+    let requests: Vec<Request> = (0..24)
+        .map(|i| Request {
+            id: i,
+            layer: (i % 3) as usize,
+            activations: DenseMatrix::random(&mut rng, 16, 1 + (i as usize * 11) % 45),
+        })
+        .collect();
+    let individual: Vec<DenseMatrix> = requests
+        .iter()
+        .map(|r| engine.execute(r.layer, &r.activations).unwrap())
+        .collect();
+    let before = engine.stats().requests;
+    let responses = serve_batch(&engine, requests, 4, true);
+    // Far fewer engine calls than requests (the exact count depends on how
+    // the widths pack under the layer's max-bucket cap).
+    assert!(engine.stats().requests - before < 24);
+    for (resp, expected) in responses.iter().zip(individual.iter()) {
+        let got = resp.result.as_ref().unwrap();
+        assert_eq!(got.shape(), expected.shape());
+        let got_bits: Vec<u32> = got.as_slice().iter().map(|v| v.to_bits()).collect();
+        let exp_bits: Vec<u32> = expected.as_slice().iter().map(|v| v.to_bits()).collect();
+        assert_eq!(got_bits, exp_bits, "request {}", resp.id);
+        assert!(resp.service_ms >= 0.0);
+        assert!(resp.modeled_us > 0.0);
+    }
+}
+
+/// Malformed requests in a coalesced batch stay out of the groups and fail
+/// individually with their own typed errors; their well-formed neighbours
+/// still succeed.
+#[test]
+fn coalescing_keeps_malformed_requests_out_of_the_groups() {
+    let engine = Arc::new(engine_with_layers(1));
+    let mut rng = StdRng::seed_from_u64(43);
+    let requests = vec![
+        Request {
+            id: 0,
+            layer: 0,
+            activations: DenseMatrix::random(&mut rng, 16, 4),
+        },
+        Request {
+            id: 1,
+            layer: 9, // unknown layer
+            activations: DenseMatrix::zeros(16, 4),
+        },
+        Request {
+            id: 2,
+            layer: 0,
+            activations: DenseMatrix::zeros(15, 4), // k mismatch
+        },
+        Request {
+            id: 3,
+            layer: 0,
+            activations: DenseMatrix::random(&mut rng, 16, 7),
+        },
+    ];
+    let responses = serve_batch(&engine, requests, 2, true);
+    assert!(responses[0].result.is_ok());
+    assert_eq!(
+        responses[1].result.as_ref().unwrap_err(),
+        &ServingError::UnknownLayer { layer: 9 }
+    );
+    assert!(matches!(
+        responses[2].result.as_ref().unwrap_err(),
+        ServingError::KMismatch {
+            expected: 16,
+            got: 15,
+            ..
+        }
+    ));
+    assert!(responses[3].result.is_ok());
+}
+
+/// A zero-width request coalesces with a real one and comes back as an
+/// empty `m × 0` output.
+#[test]
+fn coalescing_handles_zero_width_requests() {
+    let engine = Arc::new(engine_with_layers(1));
+    let mut rng = StdRng::seed_from_u64(47);
+    let requests = vec![
+        Request {
+            id: 0,
+            layer: 0,
+            activations: DenseMatrix::zeros(16, 0),
+        },
+        Request {
+            id: 1,
+            layer: 0,
+            activations: DenseMatrix::random(&mut rng, 16, 5),
+        },
+    ];
+    let responses = serve_batch(&engine, requests, 2, true);
+    assert_eq!(responses[0].result.as_ref().unwrap().shape(), (16, 0));
+    assert_eq!(responses[1].result.as_ref().unwrap().shape(), (16, 5));
 }
